@@ -18,7 +18,7 @@
 
 use rdp_core::{run_flow, PlacerPreset, RoutabilityConfig};
 use rdp_db::Design;
-use rdp_drc::{evaluate, EvalConfig, EvalReport};
+use rdp_drc::{evaluate_obs, EvalConfig, EvalReport};
 use rdp_gen::SuiteEntry;
 use rdp_legal::{detailed_place, legalize, DetailedConfig, LegalizeConfig};
 
@@ -73,7 +73,8 @@ pub fn run_pipeline(
 
 /// [`run_pipeline`] with every stage traced on `obs` (flow spans and
 /// convergence series, legalization/detailed-placement spans, a
-/// `drc_eval` span). Results are bitwise identical with tracing on or
+/// `drc_eval` span over the traced evaluation route). Results are
+/// bitwise identical with tracing on or
 /// off; the collector only records.
 pub fn run_pipeline_obs(
     design: &mut Design,
@@ -99,7 +100,7 @@ pub fn run_pipeline_obs(
     }
     let eval = {
         let _span = obs.span("drc_eval", "eval");
-        evaluate(design, eval_cfg)
+        evaluate_obs(design, eval_cfg, obs)
     };
     RowResult {
         design: design.name().to_string(),

@@ -3,6 +3,7 @@
 use std::time::Instant;
 
 use rdp_db::{Design, GridSpec, Map2d};
+use rdp_obs::Collector;
 use rdp_route::{GlobalRouter, RouterConfig};
 
 /// Configuration of the evaluation flow.
@@ -84,6 +85,14 @@ pub struct EvalReport {
 /// Routes the (legalized) placement on a refined grid and computes the
 /// DRV proxy.
 pub fn evaluate(design: &Design, cfg: &EvalConfig) -> EvalReport {
+    evaluate_obs(design, cfg, &Collector::disabled())
+}
+
+/// [`evaluate`] with the evaluation route traced on `obs`: its
+/// decomposition, pattern passes and maze phase as spans, plus the
+/// router's batch and maze counters. The report is identical to
+/// [`evaluate`]'s except for the wall-clock `route_seconds`.
+pub fn evaluate_obs(design: &Design, cfg: &EvalConfig, obs: &Collector) -> EvalReport {
     let t0 = Instant::now();
     let base = design.gcell_grid();
     let refine = cfg.refine.max(1).next_power_of_two();
@@ -103,7 +112,7 @@ pub fn evaluate(design: &Design, cfg: &EvalConfig) -> EvalReport {
     spec.gy = grid.ny();
     eval_design.set_routing(spec);
 
-    let route = GlobalRouter::new(cfg.router.clone()).route(&eval_design);
+    let route = GlobalRouter::new(cfg.router.clone()).route_obs(&eval_design, obs);
     let route_seconds = t0.elapsed().as_secs_f64();
 
     // (a) overflow violations.

@@ -9,6 +9,8 @@
 //! * [`GlobalRouter`] — congestion-aware L/Z-shape pattern routing with
 //!   rip-up-and-reroute passes (stand-in for the GPU router of Lin & Wong
 //!   \[18\] used by the paper),
+//! * [`MazeSearch`] — the A* behind the router's maze rip-up phase,
+//!   pricing steps from a [`StepCosts`] table,
 //! * [`RouteMaps`] — demand maps and the Eq. (3) congestion map
 //!   `C = max(Dmd/Cap − 1, 0)` plus the `Dmd/Cap` charge density that
 //!   feeds the paper's congestion Poisson equation,
@@ -49,6 +51,6 @@ pub use capacity::{CapacityMaps, CapacityOptions};
 pub use incremental::{IncrementalConfig, IncrementalRouter, IncrementalStats, ResyncReason};
 pub use layers::{assign_layers, LayerAssignment};
 pub use maps::RouteMaps;
-pub use maze::{astar, MazePath, MazeStep};
+pub use maze::{MazePath, MazeSearch, MazeStep, StepCosts};
 pub use router::{GlobalRouter, RouteResult, RouterConfig};
 pub use rudy::{rudy_map, rudy_map_with};

@@ -16,7 +16,7 @@
 
 use crate::capacity::{CapacityMaps, CapacityOptions};
 use crate::maps::RouteMaps;
-use crate::maze::MazeStep;
+use crate::maze::{MazeSearch, MazeStep, StepCosts};
 use crate::rsmt;
 use rdp_db::{Design, GridSpec, Map2d, NetId};
 use rdp_obs::Collector;
@@ -613,6 +613,24 @@ impl GlobalRouter {
             return (0, 0.0);
         }
         let _maze_span = obs.span("route_maze", "route");
+        let mut costs = self.step_costs(maps);
+        self.maze_reroute(maps, &mut costs, grid, cells, committed, obs)
+    }
+
+    /// The rip-up loop of [`maze_phase`](GlobalRouter::maze_phase) over a
+    /// step-cost table that matches `maps` on entry. Every demand change
+    /// (the ripped pattern path, the committed maze steps) is followed by
+    /// a refresh of the cells it touched, so the table matches `maps`
+    /// again on exit.
+    fn maze_reroute(
+        &self,
+        maps: &mut RouteMaps,
+        costs: &mut StepCosts,
+        grid: &GridSpec,
+        cells: &[&[Seg]],
+        committed: &mut [Vec<SegRoute>],
+        obs: &Collector,
+    ) -> (usize, f64) {
         let mut maze_rerouted = 0usize;
         let mut detour_added = 0.0;
         // Score each committed segment by the overflow it crosses.
@@ -620,15 +638,8 @@ impl GlobalRouter {
         for (ri, segs) in committed.iter().enumerate() {
             for (si, seg) in segs.iter().enumerate() {
                 let mut score = 0.0;
-                for run in seg.path.runs() {
-                    for i in run.from..=run.to {
-                        let (ix, iy) = if run.horizontal {
-                            (i, run.fixed)
-                        } else {
-                            (run.fixed, i)
-                        };
-                        score += (maps.demand_at(ix, iy) - maps.capacity_at(ix, iy)).max(0.0);
-                    }
+                for (ix, iy) in path_cells(&seg.path) {
+                    score += (maps.demand_at(ix, iy) - maps.capacity_at(ix, iy)).max(0.0);
                 }
                 if score > 0.0 {
                     scored.push((score, ri, si));
@@ -639,20 +650,16 @@ impl GlobalRouter {
         scored.truncate(self.cfg.maze_rip_up);
 
         let pitch = 0.5 * (grid.bin_w() + grid.bin_h());
+        let mut search = MazeSearch::new();
         for (_, ri, si) in scored {
             let old = committed[ri][si].path;
             apply_path(maps, &old, -1.0);
+            self.refresh_costs(costs, maps, path_cells(&old));
             let (a, b) = cells[ri][si];
-            let found = {
-                let frozen: &RouteMaps = maps;
-                let cost = |ix: usize, iy: usize, horizontal: bool| {
-                    self.cell_cost(frozen, ix, iy, horizontal)
-                };
-                crate::maze::astar(frozen, a, b, &cost, self.cfg.via_cost)
-            };
-            match found {
+            match search.route(costs, a, b, self.cfg.via_cost) {
                 Some(mp) => {
                     apply_maze(maps, &mp.steps, 1.0);
+                    self.refresh_costs(costs, maps, mp.steps.iter().map(|s| s.cell));
                     let manhattan =
                         (a.0 as f64 - b.0 as f64).abs() + (a.1 as f64 - b.1 as f64).abs();
                     let extra = (mp.steps.len() as f64 - manhattan).max(0.0) * pitch;
@@ -667,10 +674,37 @@ impl GlobalRouter {
                 None => {
                     // Restore the pattern route (degenerate grids only).
                     apply_path(maps, &old, 1.0);
+                    self.refresh_costs(costs, maps, path_cells(&old));
                 }
             }
         }
+        obs.counter_add("route_maze_expansions", search.expansions());
         (maze_rerouted, detour_added)
+    }
+
+    /// The maze search's step-cost table: [`cell_cost`] of every G-cell in
+    /// both directions.
+    ///
+    /// [`cell_cost`]: GlobalRouter::cell_cost
+    fn step_costs(&self, maps: &RouteMaps) -> StepCosts {
+        StepCosts::from_fn(maps.nx(), maps.ny(), |ix, iy, horizontal| {
+            self.cell_cost(maps, ix, iy, horizontal)
+        })
+    }
+
+    /// Re-prices `cells` in both directions after their demand changed (a
+    /// cell's cost reads its wire demand in one direction and its via
+    /// demand, which any rip-up or commit may move).
+    fn refresh_costs(
+        &self,
+        costs: &mut StepCosts,
+        maps: &RouteMaps,
+        cells: impl Iterator<Item = (usize, usize)>,
+    ) {
+        for (ix, iy) in cells {
+            costs.h[(ix, iy)] = self.cell_cost(maps, ix, iy, true);
+            costs.v[(ix, iy)] = self.cell_cost(maps, ix, iy, false);
+        }
     }
 
     /// Logistic congestion cost of pushing one more unit of demand through
@@ -791,6 +825,19 @@ fn vrun(x: usize, y0: usize, y1: usize) -> Run {
         from: y0.min(y1),
         to: y0.max(y1),
     }
+}
+
+/// Every G-cell a pattern path's runs cover, run by run.
+fn path_cells(path: &Path) -> impl Iterator<Item = (usize, usize)> + '_ {
+    path.runs().iter().flat_map(|run| {
+        (run.from..=run.to).map(move |i| {
+            if run.horizontal {
+                (i, run.fixed)
+            } else {
+                (run.fixed, i)
+            }
+        })
+    })
 }
 
 /// The G-cell where two consecutive runs meet.
@@ -937,6 +984,55 @@ mod tests {
             "pass2 {} vs pass1 {}",
             two_pass.maps.total_overflow(),
             one_pass.maps.total_overflow()
+        );
+    }
+
+    /// After a maze phase that re-routes segments, the incrementally
+    /// refreshed step-cost table equals a full rebuild from the final
+    /// demand maps, bit for bit.
+    #[test]
+    fn maze_refreshed_step_costs_match_full_rebuild() {
+        use rdp_testkit::{prop_assert, prop_assert_eq, prop_check, range, PropConfig, Rng};
+        prop_check!(
+            PropConfig::cases(16),
+            (range(0u64..u64::MAX), range(0.2f64..0.8)),
+            |(seed, cap): (u64, f64)| {
+                let mut rng = Rng::new(seed);
+                let mut db = DesignBuilder::new("m", Rect::new(0.0, 0.0, 80.0, 80.0));
+                let mut at =
+                    || Point::new(0.5 + 79.0 * rng.next_f64(), 0.5 + 79.0 * rng.next_f64());
+                for i in 0..30 {
+                    let a = db.add_cell(Cell::std(format!("a{i}"), 1.0, 1.0), at());
+                    let b = db.add_cell(Cell::std(format!("b{i}"), 1.0, 1.0), at());
+                    db.add_net(
+                        format!("n{i}"),
+                        vec![(a, Point::default()), (b, Point::default())],
+                    );
+                }
+                db.routing(RoutingSpec::uniform(4, cap, 16, 16));
+                let d = db.build().unwrap();
+                let grid = d.gcell_grid();
+                let obs = Collector::disabled();
+                let caps = CapacityMaps::build_on_grid(&d, &grid, &CapacityOptions::default());
+                let (pattern, decomp, mut committed) = GlobalRouter::default()
+                    .route_full_with_caps(&d, &grid, caps, Pool::global(), &obs);
+                let mut maps = pattern.maps;
+                let router = GlobalRouter::new(RouterConfig {
+                    maze_rip_up: 50,
+                    ..RouterConfig::default()
+                });
+                let mut costs = router.step_costs(&maps);
+                let cells: Vec<&[Seg]> = decomp.iter().map(|d| d.cells.as_slice()).collect();
+                let (rerouted, _) =
+                    router.maze_reroute(&mut maps, &mut costs, &grid, &cells, &mut committed, &obs);
+                prop_assert!(rerouted > 0, "no reroute at capacity {}", cap);
+                let rebuilt = router.step_costs(&maps);
+                let bits =
+                    |m: &Map2d<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&costs.h), bits(&rebuilt.h));
+                prop_assert_eq!(bits(&costs.v), bits(&rebuilt.v));
+                Ok(())
+            }
         );
     }
 

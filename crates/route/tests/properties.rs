@@ -1,8 +1,8 @@
 //! Property tests for the global router (rdp-testkit harness).
 
 use rdp_db::{Cell, Design, DesignBuilder, Point, Rect, RoutingSpec};
-use rdp_route::{astar, CapacityMaps, GlobalRouter, RouteMaps, RouterConfig};
-use rdp_testkit::{prop_assert, prop_assert_eq, prop_check, range, vecs, PropConfig};
+use rdp_route::{GlobalRouter, MazeSearch, RouterConfig, StepCosts};
+use rdp_testkit::{prop_assert, prop_assert_eq, prop_check, range, vecs, PropConfig, Rng};
 
 fn design_with(pins: Vec<(f64, f64)>, capacity: f64) -> Design {
     let mut b = DesignBuilder::new("p", Rect::new(0.0, 0.0, 80.0, 80.0));
@@ -143,14 +143,10 @@ fn astar_respects_lower_bound() {
             range(0usize..16),
         ),
         |(sx, sy, tx, ty): (usize, usize, usize, usize)| {
-            let maps = RouteMaps::new(
-                CapacityMaps {
-                    h: rdp_db::Map2d::filled(16, 16, 5.0),
-                    v: rdp_db::Map2d::filled(16, 16, 5.0),
-                },
-                0.5,
-            );
-            let p = astar(&maps, (sx, sy), (tx, ty), &|_, _, _| 1.0, 0.7).unwrap();
+            let costs = StepCosts::from_fn(16, 16, |_, _, _| 1.0);
+            let p = MazeSearch::new()
+                .route(&costs, (sx, sy), (tx, ty), 0.7)
+                .unwrap();
             let manhattan = (sx as f64 - tx as f64).abs() + (sy as f64 - ty as f64).abs();
             prop_assert!(p.cost >= manhattan - 1e-9);
             prop_assert_eq!(
@@ -158,6 +154,205 @@ fn astar_respects_lower_bound() {
                 manhattan,
                 "uncongested path is monotone"
             );
+            Ok(())
+        }
+    );
+}
+
+/// Reference A*: the closure-priced search the table-priced
+/// [`MazeSearch`] replaced, kept verbatim (fresh `dist`/`prev` per call,
+/// the step cost recomputed through `cell_cost` on every relaxation) plus
+/// a count of non-stale pops.
+mod oracle {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use rdp_route::{MazePath, MazeStep};
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Node {
+        f: f64,
+        g: f64,
+        cell: (usize, usize),
+        dir: u8,
+    }
+
+    impl Eq for Node {}
+
+    impl Ord for Node {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.f.total_cmp(&self.f)
+        }
+    }
+
+    impl PartialOrd for Node {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// Returns the path (if any) and the number of non-stale pops.
+    pub fn astar(
+        (nx, ny): (usize, usize),
+        src: (usize, usize),
+        dst: (usize, usize),
+        cell_cost: &dyn Fn(usize, usize, bool) -> f64,
+        via_cost: f64,
+    ) -> (Option<MazePath>, u64) {
+        if src == dst {
+            let p = MazePath {
+                steps: Vec::new(),
+                cost: 0.0,
+                bends: 0,
+            };
+            return (Some(p), 0);
+        }
+        let idx = |c: (usize, usize), d: u8| (c.1 * nx + c.0) * 3 + d as usize;
+        let mut dist = vec![f64::INFINITY; nx * ny * 3];
+        let mut prev: Vec<u32> = vec![u32::MAX; nx * ny * 3];
+        let mut heap = BinaryHeap::new();
+        let h = |c: (usize, usize)| -> f64 {
+            (c.0 as f64 - dst.0 as f64).abs() + (c.1 as f64 - dst.1 as f64).abs()
+        };
+        let mut pops = 0u64;
+        dist[idx(src, 0)] = 0.0;
+        heap.push(Node {
+            f: h(src),
+            g: 0.0,
+            cell: src,
+            dir: 0,
+        });
+        while let Some(Node { g, cell, dir, .. }) = heap.pop() {
+            let key = idx(cell, dir);
+            if g > dist[key] + 1e-12 {
+                continue;
+            }
+            pops += 1;
+            if cell == dst {
+                let mut steps = Vec::new();
+                let mut bends = 0usize;
+                let mut cur = key;
+                while prev[cur] != u32::MAX {
+                    let d = (cur % 3) as u8;
+                    let cellno = cur / 3;
+                    steps.push(MazeStep {
+                        cell: (cellno % nx, cellno / nx),
+                        horizontal: d == 1,
+                    });
+                    let p = prev[cur] as usize;
+                    let pd = (p % 3) as u8;
+                    if pd != 0 && pd != d {
+                        bends += 1;
+                    }
+                    cur = p;
+                }
+                steps.reverse();
+                let cost = dist[key];
+                return (Some(MazePath { steps, cost, bends }), pops);
+            }
+            let neighbors = [
+                (cell.0.wrapping_sub(1), cell.1, 1u8),
+                (cell.0 + 1, cell.1, 1u8),
+                (cell.0, cell.1.wrapping_sub(1), 2u8),
+                (cell.0, cell.1 + 1, 2u8),
+            ];
+            for (nx_, ny_, nd) in neighbors {
+                if nx_ >= nx || ny_ >= ny {
+                    continue;
+                }
+                let step = cell_cost(nx_, ny_, nd == 1);
+                let bend = if dir != 0 && dir != nd { via_cost } else { 0.0 };
+                let ng = g + step + bend;
+                let nkey = idx((nx_, ny_), nd);
+                if ng < dist[nkey] - 1e-12 {
+                    dist[nkey] = ng;
+                    prev[nkey] = key as u32;
+                    heap.push(Node {
+                        f: ng + h((nx_, ny_)),
+                        g: ng,
+                        cell: (nx_, ny_),
+                        dir: nd,
+                    });
+                }
+            }
+        }
+        (None, pops)
+    }
+}
+
+/// A random step-cost field of one of three shapes: continuous values
+/// (ties are rare), blocky plateaus over a three-value palette, or a flat
+/// field (every monotone path ties). The plateau and flat fields stress
+/// the heap's tie order.
+fn cost_field(kind: usize, nx: usize, ny: usize, rng: &mut Rng) -> StepCosts {
+    let (bw, bh) = (rng.gen_range(1usize..5), rng.gen_range(1usize..5));
+    let palette = [1.0, 1.5, 4.0];
+    let blocks: Vec<[f64; 2]> = (0..(nx / bw + 1) * (ny / bh + 1))
+        .map(|_| {
+            [
+                *rng.choose(&palette).unwrap(),
+                *rng.choose(&palette).unwrap(),
+            ]
+        })
+        .collect();
+    let random: Vec<[f64; 2]> = (0..nx * ny)
+        .map(|_| [1.0 + 12.0 * rng.next_f64(), 1.0 + 12.0 * rng.next_f64()])
+        .collect();
+    StepCosts::from_fn(nx, ny, |ix, iy, h| match kind {
+        0 => random[iy * nx + ix][h as usize],
+        1 => blocks[(iy / bh) * (nx / bw + 1) + ix / bw][h as usize],
+        _ => 1.0,
+    })
+}
+
+/// The table-priced search reproduces the closure-priced reference bit
+/// for bit — steps, cost bits, bends — and expands exactly as many nodes,
+/// across many searches on one reused [`MazeSearch`].
+#[test]
+fn maze_search_matches_closure_priced_oracle() {
+    prop_check!(
+        PropConfig::cases(64),
+        (
+            range(1usize..24),
+            range(1usize..24),
+            range(0usize..3),
+            range(0u64..u64::MAX),
+        ),
+        |(nx, ny, kind, seed): (usize, usize, usize, u64)| {
+            let mut rng = Rng::new(seed);
+            let costs = cost_field(kind, nx, ny, &mut rng);
+            let price = |ix: usize, iy: usize, h: bool| {
+                if h {
+                    costs.h[(ix, iy)]
+                } else {
+                    costs.v[(ix, iy)]
+                }
+            };
+            let mut search = MazeSearch::new();
+            for _ in 0..6 {
+                let src = (rng.gen_range(0..nx), rng.gen_range(0..ny));
+                let dst = (rng.gen_range(0..nx), rng.gen_range(0..ny));
+                let via = if rng.gen_bool(0.5) {
+                    *rng.choose(&[0.0, 0.5, 1.0]).unwrap()
+                } else {
+                    3.0 * rng.next_f64()
+                };
+                let before = search.expansions();
+                let got = search.route(&costs, src, dst, via);
+                let (want, pops) = oracle::astar((nx, ny), src, dst, &price, via);
+                let (got, want) = (got.unwrap(), want.unwrap());
+                prop_assert_eq!(
+                    &got.steps,
+                    &want.steps,
+                    "{:?}->{:?} kind {}",
+                    src,
+                    dst,
+                    kind
+                );
+                prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+                prop_assert_eq!(got.bends, want.bends);
+                prop_assert_eq!(search.expansions() - before, pops);
+            }
             Ok(())
         }
     );

@@ -187,12 +187,19 @@ impl Client {
             .ok_or_else(|| RdpError::protocol(format!("{} resolves to nothing", self.addr)))?;
         let mut stream = TcpStream::connect_timeout(&target, self.limits.io_timeout)
             .map_err(|e| RdpError::protocol(format!("connect {}: {e}", self.addr)))?;
-        write_frame(&mut stream, payload.as_bytes(), &self.limits)?;
-        let read_limits = FrameLimits {
-            max_frame: self.limits.max_frame,
-            io_timeout: self.limits.io_timeout + Duration::from_millis(extra_wait_ms),
+        let response = match write_frame(&mut stream, payload.as_bytes(), &self.limits) {
+            Ok(()) => {
+                let read_limits = FrameLimits {
+                    max_frame: self.limits.max_frame,
+                    io_timeout: self.limits.io_timeout + Duration::from_millis(extra_wait_ms),
+                };
+                read_frame(&mut stream, &read_limits)?
+            }
+            // A server that rejects a connection early (e.g. `Busy`) may
+            // answer and close before our request is fully sent: its
+            // typed answer, when one arrived, beats the write error.
+            Err(write_err) => read_frame(&mut stream, &self.limits).map_err(|_| write_err)?,
         };
-        let response = read_frame(&mut stream, &read_limits)?;
         let text = std::str::from_utf8(&response)
             .map_err(|e| RdpError::protocol(format!("response is not UTF-8: {e}")))?;
         let v =

@@ -12,7 +12,7 @@
 //! clean close).
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -309,7 +309,15 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                         detail: format!("connection limit {} reached", shared.cfg.max_connections),
                         retry_after_ms: shared.cfg.retry_after_ms,
                     };
+                    // Read the pending request before answering (bounded by
+                    // the frame deadline and size cap), then half-close.
+                    // Closing with the request unread would reset the
+                    // connection, and the reset can beat the `Busy` frame
+                    // to the client while its request write is still in
+                    // flight (EPIPE instead of a typed answer).
+                    let _ = read_frame_opt(&mut stream, &shared.limits);
                     let _ = write_frame(&mut stream, &error_response(&busy), &shared.limits);
+                    let _ = stream.shutdown(Shutdown::Write);
                     continue;
                 }
                 let conn_shared = Arc::clone(shared);

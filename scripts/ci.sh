@@ -88,6 +88,21 @@ RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline --test serve_robust
 RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline --test predict
 RDP_PROP_SEED=20250806 RDP_THREADS=4 cargo test -q --offline -p rdp-route --test properties
 
+# Flake evidence for the connection-slot rejection path: the
+# slot-exhaustion tests (one of them hammers the rejection 20 times with
+# its own CPU-hog thread) run five times in a row while a shell busy loop
+# competes for the cores as well. Any failing run fails the gate; nothing
+# is retried.
+echo "==> serve slot exhaustion x5 under a CPU hog"
+( while :; do :; done ) &
+hog=$!
+trap 'kill "${hog}" 2>/dev/null || true' EXIT
+for run in 1 2 3 4 5; do
+    cargo test -q --offline --test serve_robustness slot_exhaustion
+done
+kill "${hog}"
+trap - EXIT
+
 # Service gate: kill -9 a live `rdp serve` mid-queue and restart — all
 # jobs must finish with the identical HPWL bit pattern and a captured
 # run-dir that diffs clean against a direct `rdp place` at zero QoR

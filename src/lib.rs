@@ -93,7 +93,8 @@ pub fn place_and_evaluate(
 /// [`place_and_evaluate`] with every pipeline stage traced on `obs`: the
 /// flow's spans/series/warnings (via [`core::FlowControl`]), a
 /// `"legalize"` and `"detailed_place"` span, and a `"drc_eval"` span
-/// around the fine-grid evaluation. The collector only records;
+/// around the fine-grid evaluation, whose route spans and counters nest
+/// under it (see [`drc::evaluate_obs`]). The collector only records;
 /// placement results are bitwise identical with tracing on or off.
 pub fn place_and_evaluate_obs(
     design: &mut Design,
@@ -129,7 +130,7 @@ pub fn place_and_evaluate_obs(
     };
     let eval = {
         let _span = obs.span("drc_eval", "eval");
-        rdp_drc::evaluate(design, eval_cfg)
+        rdp_drc::evaluate_obs(design, eval_cfg, obs)
     };
     if obs.is_enabled() {
         obs.gauge_set("eval_drwl", eval.drwl);

@@ -129,3 +129,99 @@ fn suite_designs_generate_and_have_declared_structure() {
         assert!(!d.rails().is_empty());
     }
 }
+
+/// Golden pin of the evaluation router on a congested design whose maze
+/// phase re-routes its full quota: every `EvalReport` field except the
+/// wall-clock `route_seconds`, as raw bits, plus the maze reroute and
+/// node-expansion counts. The values were recorded with the previous,
+/// closure-priced A* search; the table-priced search must reproduce them
+/// exactly (same push/pop sequence, same tie-breaks). CI runs this at
+/// `RDP_THREADS=1` and `=4`.
+#[test]
+fn evaluation_report_matches_golden_bits() {
+    struct Golden {
+        seed: u64,
+        drwl: u64,
+        drvias: u64,
+        drvs: u64,
+        drv_overflow: u64,
+        drv_pin_access: u64,
+        drv_rail: u64,
+        overflowed_gcells: usize,
+        track_shorts: u64,
+        maze_rerouted: u64,
+        maze_expansions: u64,
+    }
+    let goldens = [
+        Golden {
+            seed: 1,
+            drwl: 0x40d6e80072414d88,
+            drvias: 0x40abc7db092f17f8,
+            drvs: 0x40892096125e2ff0,
+            drv_overflow: 0x408773b6125e2ff0,
+            drv_pin_access: 0x402b380000000000,
+            drv_rail: 0x4044000000000000,
+            overflowed_gcells: 346,
+            track_shorts: 0x40ab320000000000,
+            maze_rerouted: 200,
+            maze_expansions: 104461,
+        },
+        Golden {
+            seed: 2,
+            drwl: 0x40d5265bfe2abb11,
+            drvias: 0x40a886da16ca2943,
+            drvs: 0x408308742d945286,
+            drv_overflow: 0x4081d3b42d945286,
+            drv_pin_access: 0x4008c00000000000,
+            drv_rail: 0x4041c00000000000,
+            overflowed_gcells: 300,
+            track_shorts: 0x40a8d80000000000,
+            maze_rerouted: 200,
+            maze_expansions: 103312,
+        },
+    ];
+    for g in goldens {
+        let mut d = congested(g.seed);
+        rdp::legal::legalize(&mut d, &rdp::legal::LegalizeConfig::default());
+        let obs = rdp::obs::Collector::enabled();
+        let e = rdp::drc::evaluate_obs(&d, &EvalConfig::default(), &obs);
+        let bits = [
+            ("drwl", e.drwl.to_bits(), g.drwl),
+            ("drvias", e.drvias.to_bits(), g.drvias),
+            ("drvs", e.drvs.to_bits(), g.drvs),
+            ("drv_overflow", e.drv_overflow.to_bits(), g.drv_overflow),
+            (
+                "drv_pin_access",
+                e.drv_pin_access.to_bits(),
+                g.drv_pin_access,
+            ),
+            ("drv_rail", e.drv_rail.to_bits(), g.drv_rail),
+            ("track_shorts", e.track_shorts.to_bits(), g.track_shorts),
+        ];
+        for (field, got, want) in bits {
+            assert_eq!(
+                got, want,
+                "seed {}: {field} {got:#018x} != {want:#018x}",
+                g.seed
+            );
+        }
+        assert_eq!(e.overflowed_gcells, g.overflowed_gcells, "seed {}", g.seed);
+        let counter = |name: &str| {
+            obs.with_metrics(|m| m.counters.get(name).copied())
+                .flatten()
+                .unwrap_or(0)
+        };
+        assert_eq!(
+            counter("route_maze_rerouted"),
+            g.maze_rerouted,
+            "seed {}",
+            g.seed
+        );
+        assert_eq!(
+            counter("route_maze_expansions"),
+            g.maze_expansions,
+            "seed {}",
+            g.seed
+        );
+    }
+}

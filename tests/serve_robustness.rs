@@ -29,11 +29,13 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rdp::core::RdpError;
 use rdp::obs::json;
-use rdp::serve::protocol::{error_from_response, read_frame};
+use rdp::serve::protocol::{error_from_response, read_frame, write_frame};
 use rdp::serve::worker::reference_run;
 use rdp::serve::{Client, FrameLimits, JobRecord, JobSpec, JobState, ServeConfig, Server, Store};
 use rdp_testkit::{FaultExpectation, FaultKind, FaultPlan};
@@ -834,6 +836,50 @@ fn stats_under_slot_exhaustion_is_busy_then_counts_the_rejections() {
         .and_then(json::Value::as_f64)
         .unwrap_or(0.0);
     assert!(rejections >= 1.0, "got {rejections} slot rejections");
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Slot exhaustion answers a typed `Busy` on every attempt, also while a
+/// CPU hog competes with the server's accept thread for the cores: the
+/// server reads the rejected request before it answers and half-closes,
+/// so the client's request write never races a reset connection.
+#[test]
+fn slot_exhaustion_is_busy_every_time_under_a_cpu_hog() {
+    let root = tmp_root("slots-hog");
+    let (server, client) = start(ServeConfig {
+        dir: root.clone(),
+        workers: 0,
+        max_connections: 1,
+        ..ServeConfig::default()
+    });
+    // Hold the only slot. An answered ping proves the holder's handler
+    // thread owns it before any rejection is attempted.
+    let limits = FrameLimits::default();
+    let mut holder = TcpStream::connect(server.local_addr()).expect("holder connects");
+    write_frame(&mut holder, b"{\"cmd\":\"ping\"}", &limits).expect("holder ping");
+    read_frame(&mut holder, &limits).expect("holder pong");
+    let stop = Arc::new(AtomicBool::new(false));
+    let hog = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut x = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+            }
+        })
+    };
+    let outcomes: Vec<Result<(), RdpError>> = (0..20).map(|_| client.stats().map(|_| ())).collect();
+    stop.store(true, Ordering::Relaxed);
+    hog.join().expect("hog thread");
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let err = outcome.expect_err("no slot left for stats");
+        assert!(
+            matches!(err, RdpError::Busy { .. }),
+            "attempt {i}: slot exhaustion must be typed Busy, got {err}"
+        );
+    }
+    drop(holder);
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&root);
 }
