@@ -88,7 +88,7 @@ pub fn run_pipeline_obs(
     // Routability-driven legalization/DP: preserve the inflation spacing
     // by legalizing with virtual (inflated) widths when the flow produced
     // ratios (the paper adopts Xplace-Route's routability-driven LG/DP).
-    match virtual_widths(design, &flow) {
+    match flow.virtual_widths(design) {
         Some(widths) => {
             rdp_legal::legalize_virtual_obs(design, &LegalizeConfig::default(), &widths, obs);
             rdp_legal::detailed_place_virtual_obs(design, &DetailedConfig::default(), &widths, obs);
@@ -114,17 +114,10 @@ pub fn run_pipeline_obs(
 }
 
 /// Virtual (inflated) widths for routability-preserving legalization, or
-/// `None` when the flow ran without inflation.
+/// `None` when the flow ran without inflation; see
+/// [`rdp_core::FlowReport::virtual_widths`].
 pub fn virtual_widths(design: &Design, flow: &rdp_core::FlowReport) -> Option<Vec<f64>> {
-    let ratios = flow.inflation_ratios.as_ref()?;
-    Some(
-        design
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-            .collect(),
-    )
+    flow.virtual_widths(design)
 }
 
 /// DRV counts below this level are measurement noise on the synthetic

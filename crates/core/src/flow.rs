@@ -79,6 +79,14 @@ pub enum PlacerPreset {
     Ours,
 }
 
+/// Movement threshold for incremental dirtiness, as a fraction of the
+/// smaller G-cell dimension (cells drifting less than this since their
+/// last-routed anchor do not dirty their nets). One G-cell pitch keeps the
+/// congestion estimate's staleness below the grid's own resolution:
+/// sub-bin drift rarely changes a route, and the periodic/drift-triggered
+/// full resync bounds accumulation.
+const INCREMENTAL_MOVE_THRESHOLD: f64 = 1.0;
+
 /// Full configuration of the routability-driven flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutabilityConfig {
@@ -122,13 +130,6 @@ pub struct RoutabilityConfig {
     /// incremental speedup therefore only materializes in
     /// non-checkpointed runs.
     pub incremental_routing: bool,
-    /// Movement threshold for incremental dirtiness, as a fraction of the
-    /// smaller G-cell dimension (cells drifting less than this since their
-    /// last-routed anchor do not dirty their nets). The default of 1.0 —
-    /// one G-cell pitch — keeps the congestion estimate's staleness below
-    /// the grid's own resolution: sub-bin drift rarely changes a route,
-    /// and the periodic/drift-triggered full resync bounds accumulation.
-    pub incremental_move_threshold: f64,
     /// Incremental-router periodic resync cadence: a full re-route every
     /// this many router calls (`0` disables the periodic trigger; the
     /// drift trigger still applies). Mirrors
@@ -166,7 +167,6 @@ impl RoutabilityConfig {
             lambda1_rebalance: 2.0,
             lambda2_scale: 1.0,
             incremental_routing: false,
-            incremental_move_threshold: 1.0,
             incremental_resync_every: 16,
             incremental_drift_frac: 0.5,
             predict: None,
@@ -285,6 +285,21 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
+    /// Virtual (inflated) cell widths `w · √max(r, 1)` for routability-
+    /// preserving legalization, or `None` when the flow ran without
+    /// inflation. Ratios below 1 never shrink a cell below its real width.
+    pub fn virtual_widths(&self, design: &Design) -> Option<Vec<f64>> {
+        let ratios = self.inflation_ratios.as_ref()?;
+        Some(
+            design
+                .cells()
+                .iter()
+                .zip(ratios)
+                .map(|(c, &r)| c.w * r.max(1.0).sqrt())
+                .collect(),
+        )
+    }
+
     /// Serializes the per-iteration log as CSV (header + one row per
     /// routability iteration) for external plotting.
     pub fn log_csv(&self) -> String {
@@ -475,9 +490,9 @@ fn stage_from_code(c: u64) -> Result<Stage, RdpError> {
 }
 
 impl FlowCheckpoint {
-    /// Current checkpoint format version. Version 2 added the per-entry
+    /// Checkpoint format version. Version 2 added the per-entry
     /// `predicted` flag in the log and the optional predictor section;
-    /// version-1 checkpoints still load (no predictor, all-real log).
+    /// only version-2 checkpoints load.
     pub const VERSION: u32 = 2;
 
     /// Serializes into the versioned, checksummed `RDPSNAP` binary format.
@@ -540,7 +555,6 @@ impl FlowCheckpoint {
     /// version, checksum, and exact length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RdpError> {
         let mut r = SnapshotReader::new(bytes, Self::VERSION)?;
-        let version = r.version();
         let next_route_iter = r.take_u64()? as usize;
         let gp_iterations = r.take_u64()? as usize;
         let positions = r.take_points()?;
@@ -586,11 +600,7 @@ impl FlowCheckpoint {
                 lambda2: r.take_f64()?,
                 virtual_cells: r.take_u64()? as usize,
                 hpwl: r.take_f64()?,
-                predicted: if version >= 2 {
-                    r.take_u64()? != 0
-                } else {
-                    false
-                },
+                predicted: r.take_u64()? != 0,
             });
         }
         let n_warn = r.take_u64()? as usize;
@@ -611,18 +621,14 @@ impl FlowCheckpoint {
             });
         }
         let rollbacks = r.take_u64()? as usize;
-        let predictor = if version >= 2 {
-            match r.take_u64()? {
-                0 => None,
-                1 => Some(CongestionPredictor::read_from(&mut r)?),
-                other => {
-                    return Err(RdpError::checkpoint(format!(
-                        "invalid predictor flag {other}"
-                    )))
-                }
+        let predictor = match r.take_u64()? {
+            0 => None,
+            1 => Some(CongestionPredictor::read_from(&mut r)?),
+            other => {
+                return Err(RdpError::checkpoint(format!(
+                    "invalid predictor flag {other}"
+                )))
             }
-        } else {
-            None
         };
         r.finish()?;
         Ok(FlowCheckpoint {
@@ -907,7 +913,7 @@ pub fn run_flow_with(
     // checkpoint starts with empty incremental state, so the first call
     // after a resume is a full re-route (documented on the config flag).
     let mut inc_router = if cfg.incremental_routing {
-        let thr = cfg.incremental_move_threshold * grid.bin_w().min(grid.bin_h());
+        let thr = INCREMENTAL_MOVE_THRESHOLD * grid.bin_w().min(grid.bin_h());
         Some(IncrementalRouter::new(
             GlobalRouter::new(cfg.router.clone()),
             IncrementalConfig {
@@ -1604,6 +1610,38 @@ mod tests {
         let ratios = r.inflation_ratios.expect("monotone inflation ran");
         assert_eq!(ratios.len(), d.num_cells());
         assert!(ratios.iter().all(|&x| x >= 0.9 && x <= 2.0));
+    }
+
+    #[test]
+    fn virtual_widths_follow_the_inflation_formula() {
+        let d = congested_design(7);
+        let mut r = FlowReport {
+            place_seconds: 0.0,
+            gp_iterations: 0,
+            route_iterations: 0,
+            predicted_iterations: 0,
+            hpwl: 0.0,
+            density_overflow: 0.0,
+            log: Vec::new(),
+            inflation_ratios: None,
+            warnings: Vec::new(),
+            rollbacks: 0,
+            resumed_from: None,
+        };
+        assert_eq!(r.virtual_widths(&d), None);
+        let ratios: Vec<f64> = (0..d.num_cells())
+            .map(|i| [0.5, 0.999, 1.0, 1.37, 2.0][i % 5])
+            .collect();
+        r.inflation_ratios = Some(ratios.clone());
+        let widths = r.virtual_widths(&d).expect("ratios present");
+        assert_eq!(widths.len(), d.num_cells());
+        for (i, c) in d.cells().iter().enumerate() {
+            let expected = c.w * ratios[i].max(1.0).sqrt();
+            assert_eq!(widths[i].to_bits(), expected.to_bits(), "cell {i}");
+            if ratios[i] <= 1.0 {
+                assert_eq!(widths[i].to_bits(), c.w.to_bits(), "cell {i}");
+            }
+        }
     }
 
     #[test]

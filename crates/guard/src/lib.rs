@@ -57,6 +57,14 @@ impl fmt::Display for Warning {
     }
 }
 
+/// Signed relative delta `(b − a) / max(|a|, floor)` — the comparison
+/// primitive behind every QoR/perf gate in `rdp diff` and the
+/// congestion-prediction drift gate, so both measure divergence with the
+/// same arithmetic.
+pub fn rel_delta(a: f64, b: f64, floor: f64) -> f64 {
+    (b - a) / a.abs().max(floor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,9 +30,8 @@
 #![warn(missing_docs)]
 
 use rdp_db::{Design, Map2d};
-use rdp_guard::{RdpError, SnapshotReader, SnapshotWriter};
+use rdp_guard::{rel_delta, RdpError, SnapshotReader, SnapshotWriter};
 use rdp_par::{chunk_len, Pool};
-use rdp_report::rel_delta;
 use rdp_route::CapacityMaps;
 
 /// Number of per-G-cell features (the columns of `X`).

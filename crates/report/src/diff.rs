@@ -7,6 +7,7 @@
 //! tolerance; the tolerance exists for cross-seed / cross-machine noise.
 
 use crate::model::RunModel;
+use rdp_guard::rel_delta;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -111,14 +112,6 @@ impl RunDiff {
         }
         out
     }
-}
-
-/// Signed relative delta `(b − a) / max(|a|, floor)` — the comparison
-/// primitive behind every QoR/perf gate in `rdp diff`. Public so other
-/// gates (the congestion-prediction drift gate in `rdp-predict`) measure
-/// divergence with the exact same arithmetic the diff tool reports.
-pub fn rel_delta(a: f64, b: f64, floor: f64) -> f64 {
-    (b - a) / a.abs().max(floor)
 }
 
 /// Diff two ingested runs. `a` is the baseline, `b` the candidate.

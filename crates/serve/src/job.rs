@@ -185,8 +185,8 @@ impl JobSpec {
     }
 
     /// Parses the `spec` object of a submit request. Malformed specs are
-    /// typed `Protocol` errors (the *content* is validated again by
-    /// [`flow_config`] at execution time).
+    /// typed `Protocol` errors; the *content* is validated by
+    /// [`flow_config`], which the server runs before it enqueues the job.
     pub fn from_json(v: &Value) -> Result<Self, RdpError> {
         let input = v
             .get("input")
@@ -283,9 +283,8 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Current record format version. Version 1 records (pre-predictor)
-    /// are still readable; their predictor and incremental-tuning fields
-    /// default off, matching the behavior those jobs actually ran with.
+    /// Record format version. Version 2 added the predictor and
+    /// incremental-tuning fields; only version-2 records load.
     pub const VERSION: u32 = 2;
 
     /// A fresh queued record.
@@ -379,7 +378,6 @@ impl JobRecord {
     /// version, checksum, and exact length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RdpError> {
         let mut r = SnapshotReader::new(bytes, Self::VERSION)?;
-        let version = r.version();
         let id = r.take_u64()?;
         let state = JobState::from_code(r.take_u64()?)?;
         let attempt = r.take_u64()? as u32;
@@ -397,23 +395,20 @@ impl JobRecord {
                 _ => Some(r.take_u64()?),
             };
         }
-        let mut predict = false;
+        let predict = r.take_u64()? != 0;
         let mut u_opts = [None; 2];
+        for opt in u_opts.iter_mut() {
+            *opt = match r.take_u64()? {
+                0 => None,
+                _ => Some(r.take_u64()?),
+            };
+        }
         let mut f_opts = [None; 2];
-        if version >= 2 {
-            predict = r.take_u64()? != 0;
-            for opt in u_opts.iter_mut() {
-                *opt = match r.take_u64()? {
-                    0 => None,
-                    _ => Some(r.take_u64()?),
-                };
-            }
-            for opt in f_opts.iter_mut() {
-                *opt = match r.take_u64()? {
-                    0 => None,
-                    _ => Some(r.take_f64()?),
-                };
-            }
+        for opt in f_opts.iter_mut() {
+            *opt = match r.take_u64()? {
+                0 => None,
+                _ => Some(r.take_f64()?),
+            };
         }
         let error = match r.take_u64()? {
             0 => None,
@@ -520,10 +515,20 @@ pub fn retryable(e: &RdpError) -> bool {
 /// their distance to 1.0, and the rollback budget doubles — so a job
 /// that diverged under aggressive settings converges under calmer ones.
 pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, RdpError> {
-    let preset: PlacerPreset = spec
-        .preset
-        .parse()
-        .map_err(|e: String| RdpError::Config { detail: e })?;
+    let preset: PlacerPreset = spec.preset.parse().map_err(|e: String| RdpError::Config {
+        detail: format!("`preset` (`--preset`): {e}"),
+    })?;
+    // The wire format cannot carry a non-finite float (it would arrive
+    // as "unset"), so reject one here or a direct run and a served job
+    // with the same knobs would diverge.
+    let floats = [spec.incremental_drift_frac, spec.predict_drift_tol];
+    if floats.iter().flatten().any(|f| !f.is_finite()) {
+        return Err(RdpError::Config {
+            detail: "`incremental_drift_frac` (`--incremental-drift-frac`) and \
+                     `predict_drift_tol` (`--predict-drift-tol`) must be finite"
+                .into(),
+        });
+    }
     let mut cfg = if spec.fast {
         RoutabilityConfig::preset_fast(preset)
     } else {
@@ -535,7 +540,7 @@ pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, Rd
     if let Some(n) = spec.gp_max_iters {
         if n == 0 {
             return Err(RdpError::Config {
-                detail: "gp_max_iters must be at least 1".into(),
+                detail: "`gp_max_iters` (`--gp-iters`) must be at least 1".into(),
             });
         }
         cfg.gp.max_iters = n as usize;
@@ -547,7 +552,9 @@ pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, Rd
     if let Some(n) = spec.incremental_resync_every {
         if n == 0 {
             return Err(RdpError::Config {
-                detail: "incremental_resync_every must be at least 1".into(),
+                detail:
+                    "`incremental_resync_every` (`--incremental-resync-every`) must be at least 1"
+                        .into(),
             });
         }
         cfg.incremental_resync_every = n as usize;
@@ -563,7 +570,7 @@ pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, Rd
         if let Some(k) = spec.predict_warmup {
             if k == 0 {
                 return Err(RdpError::Config {
-                    detail: "predict_warmup must be at least 1".into(),
+                    detail: "`predict_warmup` (`--predict-warmup`) must be at least 1".into(),
                 });
             }
             pc.warmup_routes = k as usize;
@@ -571,7 +578,9 @@ pub fn flow_config(spec: &JobSpec, attempt: u32) -> Result<RoutabilityConfig, Rd
         cfg.predict = Some(pc);
     } else if spec.predict_drift_tol.is_some() || spec.predict_warmup.is_some() {
         return Err(RdpError::Config {
-            detail: "predict_drift_tol/predict_warmup require predict".into(),
+            detail: "`predict_drift_tol` (`--predict-drift-tol`) and `predict_warmup` \
+                     (`--predict-warmup`) require `predict` (`--predict`)"
+                .into(),
         });
     }
     for _ in 0..attempt {
@@ -635,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn version1_records_parse_with_predictor_defaults_off() {
+    fn version1_records_are_typed_checkpoint_errors() {
         // Bytes laid out exactly as the VERSION=1 writer produced them:
         // no predict flag, no tuning options.
         let mut w = SnapshotWriter::new(1);
@@ -654,14 +663,8 @@ mod tests {
         }
         w.put_u64(0); // no error
         w.put_u64(0); // no result
-        let rec = JobRecord::from_bytes(&w.finish()).unwrap();
-        assert_eq!(rec.id, 42);
-        assert!(rec.spec.incremental);
-        assert!(!rec.spec.predict);
-        assert_eq!(rec.spec.incremental_resync_every, None);
-        assert_eq!(rec.spec.incremental_drift_frac, None);
-        assert_eq!(rec.spec.predict_drift_tol, None);
-        assert_eq!(rec.spec.predict_warmup, None);
+        let err = JobRecord::from_bytes(&w.finish()).unwrap_err();
+        assert_eq!(err.stage(), Some(Stage::Checkpoint), "{err}");
     }
 
     #[test]
@@ -721,6 +724,19 @@ mod tests {
         let pc = damped.predict.expect("predict enabled by the spec");
         assert_eq!(pc.drift_tol, 0.75);
         assert_eq!(pc.warmup_routes, 1);
+
+        // Non-finite drift knobs (unrepresentable on the wire) are config
+        // errors.
+        let nan = JobSpec {
+            incremental_drift_frac: Some(f64::NAN),
+            ..spec()
+        };
+        assert!(matches!(flow_config(&nan, 0), Err(RdpError::Config { .. })));
+        let inf = JobSpec {
+            predict_drift_tol: Some(f64::INFINITY),
+            ..spec()
+        };
+        assert!(matches!(flow_config(&inf, 0), Err(RdpError::Config { .. })));
 
         // Predictor tuning without the predictor itself is a config error.
         let bad = JobSpec {

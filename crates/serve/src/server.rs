@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use rdp_guard::RdpError;
 use rdp_obs::json;
 
-use crate::job::{JobRecord, JobState};
+use crate::job::{flow_config, JobRecord, JobState};
 use crate::protocol::{
     error_kind, error_response, is_frame_limit, parse_request, read_frame_opt, write_frame,
     FrameLimits, Request, WatchParams, IO_TIMEOUT_DEFAULT_MS, MAX_FRAME_DEFAULT, PROTOCOL_VERSION,
@@ -438,6 +438,10 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Result<String, RdpError
             crate::job::jstr(SERVER_VERSION)
         )),
         Request::Submit(spec) => {
+            // Reject a spec the worker could never run before it becomes
+            // a durable record: a typed `Config` error now, not a failed
+            // job later.
+            flow_config(&spec, 0)?;
             if shared.drain.load(Ordering::SeqCst) {
                 return Err(RdpError::Busy {
                     detail: "server is draining".into(),

@@ -76,8 +76,9 @@ pub struct ExecOutcome {
     pub consumed_ms: u64,
 }
 
-/// Resolves a job input spec to a design (same grammar as the CLI):
-/// suite name, `bookshelf:DIR:BASE`, or `lefdef:LEF:DEF`.
+/// Resolves an input spec to a design — the one resolver behind served
+/// jobs and every `rdp` command that takes an input: suite name,
+/// `bookshelf:DIR:BASE`, or `lefdef:LEF:DEF`.
 pub fn resolve_input(spec: &str, obs: &Collector) -> Result<Design, RdpError> {
     if let Some(rem) = spec.strip_prefix("bookshelf:") {
         let (dir, base) = rem.split_once(':').ok_or_else(|| RdpError::Config {

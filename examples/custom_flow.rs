@@ -66,13 +66,7 @@ fn main() {
     }
 
     // Legalize (preserving inflation spacing) and diagnose what remains.
-    if let Some(ratios) = &report.inflation_ratios {
-        let widths: Vec<f64> = design
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-            .collect();
+    if let Some(widths) = report.virtual_widths(&design) {
         rdp::legal::legalize_virtual(&mut design, &rdp::legal::LegalizeConfig::default(), &widths);
     }
 

@@ -21,6 +21,17 @@ cargo fmt --check
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# Layering gate: the flow core must not pull in the HTML reporter (the
+# predictor's drift gate shares `rel_delta` with `rdp diff` through
+# rdp-guard, not through rdp-report).
+echo "==> rdp-core dependency tree excludes rdp-report"
+core_tree="$(cargo tree --offline -p rdp-core -e normal)"
+if grep -q 'rdp-report' <<<"${core_tree}"; then
+    echo "rdp-core depends on rdp-report:" >&2
+    echo "${core_tree}" >&2
+    exit 1
+fi
+
 # The parallelism contract (crates/par) promises bit-identical results
 # for any worker count, so the whole test pass runs twice: once serial,
 # once on 4 workers. A divergence fails the determinism suite.

@@ -21,11 +21,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rdp::core::{
-    run_flow, run_flow_with, FlowCheckpoint, FlowControl, PlacerPreset, PredictConfig,
-    RoutabilityConfig,
+    run_flow, run_flow_with, FlowCheckpoint, FlowControl, PlacerPreset, RoutabilityConfig,
 };
 use rdp::db::DesignStats;
 use rdp::obs::Collector;
+use rdp::serve::worker::resolve_input;
 use rdp::{place_and_evaluate_obs, Design, EvalConfig};
 
 fn main() -> ExitCode {
@@ -76,29 +76,13 @@ commands:
   suite                                    list the benchmark suite
   stats    <input>                         print design statistics
   generate <name> --out DIR [--format F]   write a suite design to disk
-  place    <input> [--preset P] [--out DIR]  global placement flow
-           [--fast] [--gp-iters N] [--max-route-iters N] [--gp-burst N]
-                                             CI-sized preset + iteration caps
-                                             (same knobs as `rdp submit`)
+  place    <input> [FLOW KNOBS] [--out DIR]  global placement flow
            [--checkpoint FILE]               save resumable state each iteration
            [--resume FILE]                   resume a killed run (bit-exact)
            [--legalize]                      legalize + detailed-place after GP
-           [--incremental-route]             rip up / re-route only dirty nets
-           [--incremental-move-threshold F]  dirty threshold, fraction of bin
-           [--incremental-resync-every N]    full-resync cadence (default 16)
-           [--incremental-drift-frac F]      dirty-fraction resync trigger
-           [--predict]                       learned congestion fast-path:
-                                             substitute predicted maps for
-                                             routing on alternating iterations
-           [--predict-drift-tol F]           fall back to full routing when
-                                             predicted-vs-routed QoR drift
-                                             exceeds F (default 0.5)
-           [--predict-warmup K]              real routes before substituting
-                                             (default 2)
   route    <input>                         route and summarize congestion
   eval     <input>                         evaluate the current placement
-  flow     <input> [--preset P]            place → legalize → evaluate
-           [--incremental-route]             (same routing flags as place)
+  flow     <input> [FLOW KNOBS]            place → legalize → evaluate
   matrix   [--scale small|full] [--classes a,b,...] [--run-dir DIR]
                                            scenario matrix: run every stress
                                            class through the three presets
@@ -117,12 +101,9 @@ service (crash-safe placement-as-a-service):
                                            at any instant and restart: the
                                            queue replays and partial jobs
                                            resume bitwise from checkpoints
-  submit   ADDR <input> [--preset P] [--fast] [--capture]
-           [--incremental-route] [--deadline-ms N] [--retries N]
-           [--max-route-iters N] [--gp-iters N] [--gp-burst N]
-           [--incremental-resync-every N] [--incremental-drift-frac F]
-           [--predict] [--predict-drift-tol F] [--predict-warmup K]
-           [--wait [--wait-ms N]]           enqueue a job (prints its id)
+  submit   ADDR <input> [FLOW KNOBS] [--capture] [--deadline-ms N]
+           [--retries N] [--wait [--wait-ms N]]
+                                           enqueue a job (prints its id)
   status   ADDR [ID]                        one job or the whole queue
   cancel   ADDR ID                          cancel a queued/running job
   fetch    ADDR ID                          result + exact HPWL bit pattern
@@ -136,6 +117,21 @@ service (crash-safe placement-as-a-service):
   shutdown ADDR                             graceful drain: running jobs are
                                             checkpointed and requeued durable
                                             (prints the drained-job count)
+flow knobs (place, flow and submit build the same configuration from them):
+  --preset P                  Table I column (default ours)
+  --fast                      CI-sized preset variant
+  --gp-iters N                wirelength-phase iteration cap
+  --max-route-iters N         routability iteration cap
+  --gp-burst N                Nesterov steps per routability iteration
+  --incremental-route         rip up / re-route only dirty nets
+  --incremental-resync-every N  full-resync cadence (default 16)
+  --incremental-drift-frac F  dirty-fraction resync trigger
+  --predict                   learned congestion fast-path: substitute
+                              predicted maps for routing on alternating
+                              iterations
+  --predict-drift-tol F       fall back to full routing when predicted-vs-
+                              routed QoR drift exceeds F (default 0.5)
+  --predict-warmup K          real routes before substituting (default 2)
 observability (place and flow):
   --trace-out FILE.jsonl    span/instant event log (one JSON object per line)
   --chrome-trace FILE.json  chrome://tracing / Perfetto trace_event file
@@ -155,77 +151,46 @@ fn flag<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
-fn parse_preset(rest: &[String]) -> Result<PlacerPreset, String> {
-    match flag(rest, "--preset").unwrap_or("ours") {
-        "xplace" => Ok(PlacerPreset::Xplace),
-        "xplace-route" => Ok(PlacerPreset::XplaceRoute),
-        "ours" => Ok(PlacerPreset::Ours),
-        other => Err(format!("unknown preset `{other}`")),
-    }
+/// Parses the flow knobs shared by `place`, `flow` and `submit` into the
+/// job spec a served job carries, so a direct run and a served job build
+/// their configuration through the same [`rdp::serve::flow_config`] — the
+/// serve smoke gate diffs the two run-dirs at zero QoR tolerance.
+fn spec_from_args(input: &str, rest: &[String]) -> Result<rdp::serve::JobSpec, String> {
+    let has = |name: &str| rest.iter().any(|a| a == name);
+    Ok(rdp::serve::JobSpec {
+        input: input.to_string(),
+        preset: flag(rest, "--preset").unwrap_or("ours").to_string(),
+        fast: has("--fast"),
+        capture: has("--capture"),
+        incremental: has("--incremental-route"),
+        deadline_ms: parse_num(rest, "--deadline-ms")?,
+        max_retries: parse_num(rest, "--retries")?.unwrap_or(0),
+        max_route_iters: parse_num(rest, "--max-route-iters")?,
+        gp_max_iters: parse_num(rest, "--gp-iters")?,
+        gp_iters_per_route: parse_num(rest, "--gp-burst")?,
+        incremental_resync_every: parse_num(rest, "--incremental-resync-every")?,
+        incremental_drift_frac: parse_num(rest, "--incremental-drift-frac")?,
+        predict: has("--predict"),
+        predict_drift_tol: parse_num(rest, "--predict-drift-tol")?,
+        predict_warmup: parse_num(rest, "--predict-warmup")?,
+    })
 }
 
-/// Builds the flow configuration for a preset plus command-line overrides
-/// (`--incremental-route` enables incremental rip-up-and-reroute between
-/// routability iterations). The iteration overrides mirror `rdp submit`,
-/// so a direct `rdp place` can run the exact configuration a served job
-/// ran — the serve smoke gate diffs the two run-dirs.
-fn parse_flow_config(rest: &[String]) -> Result<RoutabilityConfig, String> {
-    let preset = parse_preset(rest)?;
-    let mut cfg = if rest.iter().any(|a| a == "--fast") {
-        RoutabilityConfig::preset_fast(preset)
-    } else {
-        RoutabilityConfig::preset(preset)
-    };
-    if let Some(n) = parse_num::<usize>(rest, "--max-route-iters")? {
-        cfg.max_route_iters = n;
-    }
-    if let Some(n) = parse_num::<usize>(rest, "--gp-iters")? {
-        if n == 0 {
-            return Err("--gp-iters must be at least 1".into());
-        }
-        cfg.gp.max_iters = n;
-    }
-    if let Some(n) = parse_num::<usize>(rest, "--gp-burst")? {
-        cfg.gp_iters_per_route = n;
-    }
-    if rest.iter().any(|a| a == "--incremental-route") {
-        cfg.incremental_routing = true;
-    }
-    if let Some(thr) = flag(rest, "--incremental-move-threshold") {
-        cfg.incremental_move_threshold = thr
-            .parse()
-            .map_err(|_| format!("--incremental-move-threshold `{thr}` is not a number"))?;
-    }
-    if let Some(n) = parse_num::<usize>(rest, "--incremental-resync-every")? {
-        if n == 0 {
-            return Err("--incremental-resync-every must be at least 1".into());
-        }
-        cfg.incremental_resync_every = n;
-    }
-    if let Some(f) = parse_num::<f64>(rest, "--incremental-drift-frac")? {
-        cfg.incremental_drift_frac = f;
-    }
-    if rest.iter().any(|a| a == "--predict") {
-        cfg.predict = Some(PredictConfig::default());
-    }
-    if let Some(tol) = parse_num::<f64>(rest, "--predict-drift-tol")? {
-        let p = cfg
-            .predict
-            .as_mut()
-            .ok_or("--predict-drift-tol requires --predict")?;
-        p.drift_tol = tol;
-    }
-    if let Some(k) = parse_num::<usize>(rest, "--predict-warmup")? {
-        let p = cfg
-            .predict
-            .as_mut()
-            .ok_or("--predict-warmup requires --predict")?;
-        if k == 0 {
-            return Err("--predict-warmup must be at least 1".into());
-        }
-        p.warmup_routes = k;
-    }
-    Ok(cfg)
+/// The flow configuration and design of a direct `place`/`flow` run:
+/// the knobs are validated before the input is loaded (or generated), and
+/// the input is resolved under `obs` so `--profile` covers that stage.
+fn direct_run(
+    cmd: &str,
+    rest: &[String],
+    obs: &Collector,
+) -> Result<(RoutabilityConfig, Design), String> {
+    let input = rest
+        .first()
+        .ok_or_else(|| format!("{cmd} needs an input"))?;
+    let spec = spec_from_args(input, rest)?;
+    let cfg = rdp::serve::flow_config(&spec, 0).map_err(|e| e.to_string())?;
+    let design = resolve_input(input, obs).map_err(|e| e.to_string())?;
+    Ok((cfg, design))
 }
 
 /// Observability outputs requested on the command line. The collector is
@@ -330,31 +295,6 @@ fn write_obs_outputs(o: &ObsArgs, title: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves an input spec to a design; generation/parsing is timed on
-/// `obs` so `--profile` covers the input stage.
-fn load_input(spec: &str, obs: &Collector) -> Result<Design, String> {
-    if let Some(rem) = spec.strip_prefix("bookshelf:") {
-        let (dir, base) = rem
-            .split_once(':')
-            .ok_or("bookshelf input must be bookshelf:DIR:BASE")?;
-        return rdp::parse::load_bookshelf_obs(Path::new(dir), base, obs)
-            .map_err(|e| e.to_string());
-    }
-    if let Some(rem) = spec.strip_prefix("lefdef:") {
-        let (lef, def) = rem
-            .split_once(':')
-            .ok_or("lefdef input must be lefdef:LEF_PATH:DEF_PATH")?;
-        let files = rdp::parse::LefDefFiles {
-            lef: std::fs::read_to_string(lef).map_err(|e| format!("{lef}: {e}"))?,
-            def: std::fs::read_to_string(def).map_err(|e| format!("{def}: {e}"))?,
-        };
-        return rdp::parse::read_lefdef_obs(&files, obs).map_err(|e| e.to_string());
-    }
-    rdp::gen::generate_named_obs(spec, obs).ok_or_else(|| {
-        format!("`{spec}` is not a suite design; see `rdp suite` or use bookshelf:/lefdef: inputs")
-    })
-}
-
 fn save_output(design: &Design, dir: &Path, format: &str) -> Result<(), String> {
     match format {
         "bookshelf" => {
@@ -406,7 +346,7 @@ fn cmd_stats(rest: &[String]) -> Result<(), String> {
     if looks_like_addr(spec) {
         return cmd_service_stats(rest);
     }
-    let design = load_input(spec, &Collector::disabled())?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     println!("{}", DesignStats::of(&design));
     let spec = design.routing();
     println!(
@@ -458,9 +398,8 @@ fn cmd_generate(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_place(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("place needs an input")?;
     let obs_args = parse_obs(rest);
-    let mut design = load_input(spec, &obs_args.obs)?;
+    let (cfg, mut design) = direct_run("place", rest, &obs_args.obs)?;
 
     // Checkpoint/resume: --checkpoint FILE rewrites FILE with the flow
     // state at the top of every routability iteration; --resume FILE
@@ -504,8 +443,7 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
         obs: obs_args.obs.clone(),
         ..Default::default()
     };
-    let report =
-        run_flow_with(&mut design, &parse_flow_config(rest)?, ctrl).map_err(|e| e.to_string())?;
+    let report = run_flow_with(&mut design, &cfg, ctrl).map_err(|e| e.to_string())?;
     println!(
         "placed `{}`: {} WL iters + {} routability iters in {:.2}s, HPWL {:.0} um",
         design.name(),
@@ -518,14 +456,7 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
         println!("  warning: {w}");
     }
     if rest.iter().any(|a| a == "--legalize") {
-        let virtual_widths = report.inflation_ratios.as_ref().map(|ratios| {
-            design
-                .cells()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-                .collect::<Vec<f64>>()
-        });
+        let virtual_widths = report.virtual_widths(&design);
         let lcfg = rdp::legal::LegalizeConfig::default();
         let dcfg = rdp::legal::DetailedConfig::default();
         let (lg, gain) = match &virtual_widths {
@@ -555,7 +486,7 @@ fn cmd_place(rest: &[String]) -> Result<(), String> {
 
 fn cmd_route(rest: &[String]) -> Result<(), String> {
     let spec = rest.first().ok_or("route needs an input")?;
-    let design = load_input(spec, &Collector::disabled())?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     let result = rdp::route::GlobalRouter::default().route(&design);
     println!(
         "routed `{}`: wirelength {:.0} um, {:.0} vias",
@@ -575,7 +506,7 @@ fn cmd_route(rest: &[String]) -> Result<(), String> {
 
 fn cmd_eval(rest: &[String]) -> Result<(), String> {
     let spec = rest.first().ok_or("eval needs an input")?;
-    let design = load_input(spec, &Collector::disabled())?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     let e = rdp::drc::evaluate(&design, &EvalConfig::default());
     println!("evaluation of `{}` (current placement):", design.name());
     println!("  DRWL    {:>12.0} um", e.drwl);
@@ -615,21 +546,14 @@ fn cmd_eval(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_flow(rest: &[String]) -> Result<(), String> {
-    let spec = rest.first().ok_or("flow needs an input")?;
-    let preset = parse_preset(rest)?;
     let obs_args = parse_obs(rest);
-    let mut design = load_input(spec, &obs_args.obs)?;
-    let report = place_and_evaluate_obs(
-        &mut design,
-        &parse_flow_config(rest)?,
-        &EvalConfig::default(),
-        &obs_args.obs,
-    )
-    .map_err(|e| e.to_string())?;
+    let (cfg, mut design) = direct_run("flow", rest, &obs_args.obs)?;
+    let report = place_and_evaluate_obs(&mut design, &cfg, &EvalConfig::default(), &obs_args.obs)
+        .map_err(|e| e.to_string())?;
     println!(
-        "flow on `{}` ({:?}): PT {:.2}s, RT {:.2}s",
+        "flow on `{}` ({}): PT {:.2}s, RT {:.2}s",
         design.name(),
-        preset,
+        flag(rest, "--preset").unwrap_or("ours"),
         report.flow.place_seconds,
         report.eval.route_seconds
     );
@@ -736,14 +660,9 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
 fn cmd_render(rest: &[String]) -> Result<(), String> {
     let spec = rest.first().ok_or("render needs an input")?;
     let out = flag(rest, "--out").ok_or("render needs --out FILE.svg")?;
-    let mut design = load_input(spec, &Collector::disabled())?;
+    let mut design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     if let Some(p) = flag(rest, "--place") {
-        let preset = match p {
-            "xplace" => PlacerPreset::Xplace,
-            "xplace-route" => PlacerPreset::XplaceRoute,
-            "ours" => PlacerPreset::Ours,
-            other => return Err(format!("unknown preset `{other}`")),
-        };
+        let preset: PlacerPreset = p.parse()?;
         run_flow(&mut design, &RoutabilityConfig::preset(preset)).map_err(|e| e.to_string())?;
     }
     let congestion = rest.iter().any(|a| a == "--congestion").then(|| {
@@ -767,7 +686,7 @@ fn cmd_convert(rest: &[String]) -> Result<(), String> {
     let spec = rest.first().ok_or("convert needs an input")?;
     let out: PathBuf = flag(rest, "--out").ok_or("convert needs --out DIR")?.into();
     let format = flag(rest, "--format").ok_or("convert needs --format")?;
-    let design = load_input(spec, &Collector::disabled())?;
+    let design = resolve_input(spec, &Collector::disabled()).map_err(|e| e.to_string())?;
     save_output(&design, &out, format)
 }
 
@@ -831,25 +750,10 @@ fn cmd_submit(rest: &[String]) -> Result<(), String> {
     let (client, rest) = service_client(rest, "submit")?;
     let input = rest
         .first()
-        .ok_or("submit needs an input (suite name, bookshelf:, or lefdef:)")?
-        .clone();
-    let spec = rdp::serve::JobSpec {
-        input,
-        preset: flag(&rest, "--preset").unwrap_or("ours").to_string(),
-        fast: rest.iter().any(|a| a == "--fast"),
-        capture: rest.iter().any(|a| a == "--capture"),
-        incremental: rest.iter().any(|a| a == "--incremental-route"),
-        deadline_ms: parse_num(&rest, "--deadline-ms")?,
-        max_retries: parse_num(&rest, "--retries")?.unwrap_or(0),
-        max_route_iters: parse_num(&rest, "--max-route-iters")?,
-        gp_max_iters: parse_num(&rest, "--gp-iters")?,
-        gp_iters_per_route: parse_num(&rest, "--gp-burst")?,
-        incremental_resync_every: parse_num(&rest, "--incremental-resync-every")?,
-        incremental_drift_frac: parse_num(&rest, "--incremental-drift-frac")?,
-        predict: rest.iter().any(|a| a == "--predict"),
-        predict_drift_tol: parse_num(&rest, "--predict-drift-tol")?,
-        predict_warmup: parse_num(&rest, "--predict-warmup")?,
-    };
+        .ok_or("submit needs an input (suite name, bookshelf:, or lefdef:)")?;
+    let spec = spec_from_args(input, &rest)?;
+    // Same check the server makes, before any connection is attempted.
+    rdp::serve::flow_config(&spec, 0).map_err(|e| e.to_string())?;
     let id = client.submit(&spec).map_err(|e| e.to_string())?;
     println!("submitted job {id}");
     if rest.iter().any(|a| a == "--wait") {

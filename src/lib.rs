@@ -105,14 +105,7 @@ pub fn place_and_evaluate_obs(
     let mut ctrl = rdp_core::FlowControl::default();
     ctrl.obs = obs.clone();
     let flow = rdp_core::run_flow_with(design, cfg, ctrl)?;
-    let virtual_widths = flow.inflation_ratios.as_ref().map(|ratios| {
-        design
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.w * ratios[i].max(1.0).sqrt())
-            .collect::<Vec<f64>>()
-    });
+    let virtual_widths = flow.virtual_widths(design);
     let (legal, detailed_gain) = match &virtual_widths {
         Some(w) => (
             rdp_legal::legalize_virtual_obs(design, &rdp_legal::LegalizeConfig::default(), w, obs),

@@ -329,6 +329,47 @@ fn queue_full_backpressure_frees_a_slot_on_cancel() {
 }
 
 #[test]
+fn invalid_spec_is_rejected_at_submit_and_never_enqueued() {
+    let root = tmp_root("invalid-spec");
+    let (server, client) = start(ServeConfig {
+        dir: root.clone(),
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let bad_specs = [
+        JobSpec {
+            predict: true,
+            predict_warmup: Some(0),
+            ..small_spec()
+        },
+        JobSpec {
+            predict_warmup: Some(2),
+            ..small_spec()
+        },
+        JobSpec {
+            preset: "warp-speed".into(),
+            ..small_spec()
+        },
+    ];
+    for spec in &bad_specs {
+        match client.submit(spec) {
+            Err(RdpError::Config { .. }) => {}
+            other => panic!("invalid spec must be a typed Config error, got {other:?}"),
+        }
+    }
+    assert!(
+        client.status_all().expect("status").is_empty(),
+        "a rejected spec must not become a job"
+    );
+    let id = client.submit(&small_spec()).expect("valid spec enqueues");
+    let all = client.status_all().expect("status");
+    assert_eq!(all.len(), 1);
+    assert_eq!(all[0].id, id);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn deadline_expiry_is_a_typed_durable_failure() {
     let root = tmp_root("deadline");
     let (server, client) = start(ServeConfig {
